@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race race-serve vet fmt lint fmt-check staticcheck fuzz-smoke soak soak-ivm soak-certify soak-recover soak-fragment serve loadtest smoke-serve smoke-trace smoke-restart smoke-cluster smoke-fragment bench-ivm bench-verify bench-wal bench-cluster bench-fragment ci bench clean
+.PHONY: all build test race race-serve vet fmt lint fmt-check staticcheck fuzz-smoke soak soak-ivm soak-certify soak-recover soak-fragment serve loadtest smoke-serve smoke-trace smoke-restart smoke-cluster smoke-fragment bench-ivm bench-verify bench-wal bench-cluster bench-fragment bench-check ci bench clean
 
 all: build
 
@@ -172,9 +172,16 @@ bench-cluster:
 bench-fragment:
 	./scripts/bench_fragment.sh
 
+# bench-check vets and short-tests the benchmark harness. perfbench is
+# its own Go module (it imports this one through a replace), so
+# `go build ./...` never compiles it; this target catches internal API
+# changes that break it.
+bench-check:
+	cd perfbench && $(GO) vet . && $(GO) test -short .
+
 # ci is what .github/workflows/ci.yml runs (plus staticcheck, which CI
 # fetches pinned).
-ci: vet build race lint fmt-check fuzz-smoke soak soak-ivm soak-certify soak-recover soak-fragment smoke-serve smoke-trace smoke-restart smoke-cluster smoke-fragment bench-ivm bench-verify bench-wal bench-cluster bench-fragment
+ci: vet build race lint fmt-check fuzz-smoke soak soak-ivm soak-certify soak-recover soak-fragment smoke-serve smoke-trace smoke-restart smoke-cluster smoke-fragment bench-ivm bench-verify bench-wal bench-cluster bench-fragment bench-check
 
 bench:
 	$(GO) test -bench . -benchmem -run '^$$'

@@ -327,7 +327,7 @@ func (a *AIG) starRows(env *Env, ir *InhRule, sc *scope) ([]relstore.Tuple, rels
 		if err != nil {
 			return nil, nil, err
 		}
-		rows, schema = out.Rows(), out.Schema()
+		rows, schema = out.Rows, out.Schema
 	} else {
 		if len(ir.Copies) != 1 {
 			return nil, nil, fmt.Errorf("aig: star rule for %s must have a query or one collection copy", ir.Child)
@@ -349,16 +349,9 @@ func (a *AIG) evalChoice(env *Env, elem string, node *xmltree.Node, p dtd.Produc
 		return nil, fmt.Errorf("aig: choice production of %s has no condition query", elem)
 	}
 	sc := &scope{inhElem: elem, inh: inh}
-	out, err := a.runQuery(env, r.Cond, r.CondParams, sc, nil)
+	i, err := a.chooseBranch(env, elem, p, r, sc)
 	if err != nil {
 		return nil, err
-	}
-	if out.Len() == 0 || out.Row(0)[0].Kind() != relstore.KindInt {
-		return nil, fmt.Errorf("aig: condition query of %s must return one integer, got %s", elem, out)
-	}
-	i := int(out.Row(0)[0].AsInt())
-	if i < 1 || i > len(p.Children) {
-		return nil, fmt.Errorf("aig: condition query of %s returned %d, want 1..%d", elem, i, len(p.Children))
 	}
 	child := p.Children[i-1]
 	var branch Branch
@@ -383,6 +376,23 @@ func (a *AIG) evalChoice(env *Env, elem string, node *xmltree.Node, p dtd.Produc
 	return a.evalSynRule(env, elem, branch.Syn, synScope)
 }
 
+// chooseBranch runs a choice production's condition query and returns
+// the 1-based alternative it selects.
+func (a *AIG) chooseBranch(env *Env, elem string, p dtd.Production, r *Rule, sc *scope) (int, error) {
+	out, err := a.runQuery(env, r.Cond, r.CondParams, sc, nil)
+	if err != nil {
+		return 0, err
+	}
+	if len(out.Rows) == 0 || out.Rows[0][0].Kind() != relstore.KindInt {
+		return 0, fmt.Errorf("aig: condition query of %s must return one integer, got %d rows %s", elem, len(out.Rows), out.Schema)
+	}
+	i := int(out.Rows[0][0].AsInt())
+	if i < 1 || i > len(p.Children) {
+		return 0, fmt.Errorf("aig: condition query of %s returned %d, want 1..%d", elem, i, len(p.Children))
+	}
+	return i, nil
+}
+
 // evalInhSingle evaluates a non-star inherited-attribute rule into target.
 func (a *AIG) evalInhSingle(env *Env, ir *InhRule, child string, target *AttrValue, sc *scope) error {
 	if ir.IsQuery() {
@@ -391,12 +401,12 @@ func (a *AIG) evalInhSingle(env *Env, ir *InhRule, child string, target *AttrVal
 			return err
 		}
 		if ir.TargetCollection != "" {
-			if err := target.SetCollection(ir.TargetCollection, out.Rows()); err != nil {
+			if err := target.SetCollection(ir.TargetCollection, out.Rows); err != nil {
 				return err
 			}
-		} else if out.Len() > 0 {
+		} else if len(out.Rows) > 0 {
 			scalars := target.Decl.ScalarSchema().Names()
-			if err := target.BindScalarsFromRow(scalars, out.Schema(), out.Row(0)); err != nil {
+			if err := target.BindScalarsFromRow(scalars, out.Schema, out.Rows[0]); err != nil {
 				return err
 			}
 		}
@@ -432,31 +442,31 @@ func (a *AIG) evalInhSingle(env *Env, ir *InhRule, child string, target *AttrVal
 // original (possibly multi-source) query, or the decomposed single-source
 // chain, threading each step's output into the next step's $prev
 // parameter.
-func (a *AIG) runInhQuery(env *Env, ir *InhRule, sc *scope) (*relstore.Table, error) {
+func (a *AIG) runInhQuery(env *Env, ir *InhRule, sc *scope) (sqlmini.Binding, error) {
 	if ir.Query != nil {
 		return a.runQuery(env, ir.Query, ir.QueryParams, sc, nil)
 	}
-	var prev *relstore.Table
+	if len(ir.Chain) == 0 {
+		return sqlmini.Binding{}, fmt.Errorf("aig: empty query chain for %s", ir.Child)
+	}
+	var prev sqlmini.Binding
 	for i, q := range ir.Chain {
 		extra := make(sqlmini.Params, 1)
-		if prev != nil {
-			extra[PrevParam] = sqlmini.TableBinding(prev)
+		if i > 0 {
+			extra[PrevParam] = prev
 		}
 		out, err := a.runQuery(env, q, ir.QueryParams, sc, extra)
 		if err != nil {
-			return nil, fmt.Errorf("aig: chain step %d for %s: %v", i+1, ir.Child, err)
+			return sqlmini.Binding{}, fmt.Errorf("aig: chain step %d for %s: %v", i+1, ir.Child, err)
 		}
 		prev = out
-	}
-	if prev == nil {
-		return nil, fmt.Errorf("aig: empty query chain for %s", ir.Child)
 	}
 	return prev, nil
 }
 
 // runQuery binds the query's parameters from the scope (and the extra
 // pre-bound parameters) and executes it against the sources.
-func (a *AIG) runQuery(env *Env, q *sqlmini.Query, paramSrcs map[string]SourceRef, sc *scope, extra sqlmini.Params) (*relstore.Table, error) {
+func (a *AIG) runQuery(env *Env, q *sqlmini.Query, paramSrcs map[string]SourceRef, sc *scope, extra sqlmini.Params) (sqlmini.Binding, error) {
 	params := make(sqlmini.Params)
 	for _, name := range q.Params() {
 		if b, ok := extra[name]; ok {
@@ -465,16 +475,16 @@ func (a *AIG) runQuery(env *Env, q *sqlmini.Query, paramSrcs map[string]SourceRe
 		}
 		src, ok := paramSrcs[name]
 		if !ok {
-			return nil, fmt.Errorf("aig: query parameter $%s has no source (query: %s)", name, q)
+			return sqlmini.Binding{}, fmt.Errorf("aig: query parameter $%s has no source (query: %s)", name, q)
 		}
 		b, err := sc.binding(src)
 		if err != nil {
-			return nil, err
+			return sqlmini.Binding{}, err
 		}
 		params[name] = b
 	}
 	env.countQuery()
-	return sqlmini.Run("q", q, env.Schemas, env.Data, env.Stats, params, env.PlanOpts)
+	return sqlmini.Run(q, env.Schemas, env.Data, env.Stats, params, env.PlanOpts)
 }
 
 // evalSynRule computes the synthesized attribute of elem from the scope.
@@ -556,7 +566,7 @@ func (a *AIG) evalSetExpr(expr SynExpr, sc *scope, arity int) ([]relstore.Tuple,
 				rows = append(rows, relstore.Tuple{childSyn.Scalars[e.Member]})
 				continue
 			}
-			rows = append(rows, childSyn.Collections[e.Member].Rows()...)
+			rows = append(rows, childSyn.Collections[e.Member].Rows...)
 		}
 		return rows, nil
 	default:
@@ -572,8 +582,8 @@ func evalGuard(g Guard, syn *AttrValue) (bool, error) {
 		if err != nil {
 			return false, err
 		}
-		seen := make(map[string]bool, t.Len())
-		for _, row := range t.Rows() {
+		seen := make(map[string]bool, len(t.Rows))
+		for _, row := range t.Rows {
 			k := row.Key()
 			if seen[k] {
 				return false, nil
@@ -590,11 +600,11 @@ func evalGuard(g Guard, syn *AttrValue) (bool, error) {
 		if err != nil {
 			return false, err
 		}
-		have := make(map[string]bool, super.Len())
-		for _, row := range super.Rows() {
+		have := make(map[string]bool, len(super.Rows))
+		for _, row := range super.Rows {
 			have[row.Key()] = true
 		}
-		for _, row := range sub.Rows() {
+		for _, row := range sub.Rows {
 			if !have[row.Key()] {
 				return false, nil
 			}

@@ -462,15 +462,15 @@ func TestAttrValueOps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Len() != 1 {
-		t.Errorf("set member kept duplicates: %d rows", s.Len())
+	if len(s.Rows) != 1 {
+		t.Errorf("set member kept duplicates: %d rows", len(s.Rows))
 	}
 	if err := v.SetCollection("b", []relstore.Tuple{{relstore.Int(1)}, {relstore.Int(1)}}); err != nil {
 		t.Fatal(err)
 	}
 	b, _ := v.Collection("b")
-	if b.Len() != 2 {
-		t.Errorf("bag member dropped duplicates: %d rows", b.Len())
+	if len(b.Rows) != 2 {
+		t.Errorf("bag member dropped duplicates: %d rows", len(b.Rows))
 	}
 	if err := v.SetCollection("a", nil); err == nil {
 		t.Error("SetCollection on scalar succeeded")

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"github.com/aigrepro/aig/internal/dtd"
-	"github.com/aigrepro/aig/internal/relstore"
 	"github.com/aigrepro/aig/internal/xmltree"
 )
 
@@ -345,16 +344,9 @@ func (a *AIG) partialChoice(env *Env, elem string, p dtd.Production, r *Rule, in
 		return fmt.Errorf("aig: choice production of %s has no condition query", elem)
 	}
 	sc := &scope{inhElem: elem, inh: inh}
-	out, err := a.runQuery(env, r.Cond, r.CondParams, sc, nil)
+	i, err := a.chooseBranch(env, elem, p, r, sc)
 	if err != nil {
 		return err
-	}
-	if out.Len() == 0 || out.Row(0)[0].Kind() != relstore.KindInt {
-		return fmt.Errorf("aig: condition query of %s must return one integer, got %s", elem, out)
-	}
-	i := int(out.Row(0)[0].AsInt())
-	if i < 1 || i > len(p.Children) {
-		return fmt.Errorf("aig: condition query of %s returned %d, want 1..%d", elem, i, len(p.Children))
 	}
 	child := p.Children[i-1]
 	if !cur.NeedChild(child) {

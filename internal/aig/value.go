@@ -14,7 +14,7 @@ import (
 type AttrValue struct {
 	Decl        AttrDecl
 	Scalars     map[string]relstore.Value
-	Collections map[string]*relstore.Table
+	Collections map[string]sqlmini.Binding
 }
 
 // NewAttrValue creates a value for the declaration with Null scalars and
@@ -23,14 +23,14 @@ func NewAttrValue(decl AttrDecl) *AttrValue {
 	v := &AttrValue{
 		Decl:        decl,
 		Scalars:     make(map[string]relstore.Value),
-		Collections: make(map[string]*relstore.Table),
+		Collections: make(map[string]sqlmini.Binding),
 	}
 	for _, m := range decl.Members {
 		switch m.Kind {
 		case Scalar:
 			v.Scalars[m.Name] = relstore.Null
 		default:
-			v.Collections[m.Name] = relstore.NewTable(m.Name, m.Fields)
+			v.Collections[m.Name] = sqlmini.Binding{Schema: m.Fields}
 		}
 	}
 	return v
@@ -55,32 +55,33 @@ func (v *AttrValue) Scalar(name string) (relstore.Value, error) {
 	return val, nil
 }
 
-// Collection returns the table backing a set/bag member.
-func (v *AttrValue) Collection(name string) (*relstore.Table, error) {
-	t, ok := v.Collections[name]
+// Collection returns the rows of a set/bag member.
+func (v *AttrValue) Collection(name string) (sqlmini.Binding, error) {
+	b, ok := v.Collections[name]
 	if !ok {
-		return nil, fmt.Errorf("aig: no collection member %q in %s", name, v.Decl)
+		return sqlmini.Binding{}, fmt.Errorf("aig: no collection member %q in %s", name, v.Decl)
 	}
-	return t, nil
+	return b, nil
 }
 
 // SetCollection replaces a set/bag member's rows. Set members are
-// deduplicated; bags keep duplicates.
+// deduplicated; bags keep duplicates. The member shares rows, which must
+// not be modified afterwards.
 func (v *AttrValue) SetCollection(name string, rows []relstore.Tuple) error {
 	m, ok := v.Decl.Member(name)
 	if !ok || m.Kind == Scalar {
 		return fmt.Errorf("aig: no collection member %q in %s", name, v.Decl)
 	}
-	t := relstore.NewTable(name, m.Fields)
 	for _, row := range rows {
-		if err := t.Insert(row); err != nil {
+		if err := m.Fields.Validate(row); err != nil {
 			return fmt.Errorf("aig: member %q: %v", name, err)
 		}
 	}
+	b := sqlmini.Binding{Schema: m.Fields, Rows: rows}
 	if m.Kind == Set {
-		t.Distinct()
+		b = b.Distinct()
 	}
-	v.Collections[name] = t
+	v.Collections[name] = b
 	return nil
 }
 
@@ -118,7 +119,7 @@ func (v *AttrValue) MemberBinding(member string) (sqlmini.Binding, error) {
 		schema := relstore.Schema{{Name: m.Name, Kind: m.ValueKind}}
 		return sqlmini.Binding{Schema: schema, Rows: []relstore.Tuple{{v.Scalars[member]}}}, nil
 	}
-	return sqlmini.TableBinding(v.Collections[member]), nil
+	return v.Collections[member], nil
 }
 
 // BindScalarsFromRow assigns scalar members from a query output row.
@@ -165,8 +166,8 @@ func (v *AttrValue) Clone() *AttrValue {
 	for k, s := range v.Scalars {
 		out.Scalars[k] = s
 	}
-	for k, t := range v.Collections {
-		out.Collections[k] = t.Clone()
+	for k, b := range v.Collections {
+		out.Collections[k] = b.Clone()
 	}
 	return out
 }
@@ -183,9 +184,9 @@ func (v *AttrValue) Equal(w *AttrValue) bool {
 			return false
 		}
 	}
-	for k, t := range v.Collections {
-		wt, ok := w.Collections[k]
-		if !ok || !t.Equal(wt) {
+	for k, b := range v.Collections {
+		wb, ok := w.Collections[k]
+		if !ok || !b.Equal(wb) {
 			return false
 		}
 	}
@@ -209,7 +210,7 @@ func (v *AttrValue) String() string {
 	}
 	sort.Strings(names)
 	for _, k := range names {
-		parts = append(parts, fmt.Sprintf("%s=[%d rows]", k, v.Collections[k].Len()))
+		parts = append(parts, fmt.Sprintf("%s=[%d rows]", k, len(v.Collections[k].Rows)))
 	}
 	return "(" + strings.Join(parts, ", ") + ")"
 }

@@ -3,6 +3,7 @@ package mediator
 import (
 	"context"
 	"fmt"
+	"strings"
 	"sync"
 	"time"
 
@@ -253,9 +254,28 @@ func (x *exec) waitDeps(n *node) {
 	}
 }
 
+// nodeSpan starts the span of one node execution (nil when untraced). A
+// merged node's name lists every member's path, so its span is named
+// just "node:merged" and carries the members as attributes.
+func (x *exec) nodeSpan(n *node) *obs.Span {
+	if x.tr == nil {
+		return nil
+	}
+	if n.items == nil {
+		return x.tr.StartSpan("node:"+n.name, x.execSpan)
+	}
+	names := make([]string, len(n.items))
+	for i, item := range n.items {
+		names[i] = item.name
+	}
+	return x.tr.StartSpan("node:merged", x.execSpan).
+		SetAttr("members", len(n.items)).
+		SetAttr("member_names", strings.Join(names, "+"))
+}
+
 // runNode executes one node whose dependencies are satisfied.
 func (x *exec) runNode(n *node) {
-	sp := x.tr.StartSpan("node:"+n.name, x.execSpan)
+	sp := x.nodeSpan(n)
 	start := time.Now()
 	defer func() {
 		if sp != nil {
@@ -379,25 +399,29 @@ func (x *exec) runPart(ctx context.Context, n *node, pt *part) error {
 		opts.ParamCards[name] = len(b.Rows) + 1
 	}
 
-	var out *relstore.Table
+	var out sqlmini.Binding
 	var dur time.Duration
 	if n.source == MediatorSource {
 		start := time.Now()
-		out, err = sqlmini.Run(pt.name, pt.rw.query, x.g.reg, x.g.reg, x.g.reg, params, opts)
+		out, err = sqlmini.Run(pt.rw.query, x.g.reg, x.g.reg, x.g.reg, params, opts)
 		dur = time.Since(start)
 	} else {
 		src, gerr := x.g.reg.Get(n.source)
 		if gerr != nil {
 			return gerr
 		}
-		out, dur, err = src.Exec(ctx, pt.name, pt.rw.query, params, opts)
+		var t *relstore.Table
+		t, dur, err = src.Exec(ctx, pt.name, pt.rw.query, params, opts)
+		if err == nil {
+			out = sqlmini.TableBinding(t)
+		}
 	}
 	if err != nil {
 		return fmt.Errorf("mediator: %s: %v", pt.name, err)
 	}
-	pt.out = out
+	pt.out = &out
 	n.evalSec += dur.Seconds()
-	n.outRows += out.Len()
+	n.outRows += len(out.Rows)
 	n.outBytes += out.ByteSize()
 	return nil
 }
@@ -436,7 +460,7 @@ func (x *exec) bindParams(pt *part) (sqlmini.Params, int, error) {
 			if pt.prev == nil || pt.prev.out == nil {
 				return nil, 0, fmt.Errorf("chain step has no predecessor output")
 			}
-			params[spec.name] = sqlmini.TableBinding(pt.prev.out)
+			params[spec.name] = *pt.prev.out
 		case paramParentIDs:
 			var rows []relstore.Tuple
 			for _, inst := range g.parentInstances(pt.parentCtx, pt.branch) {
@@ -464,11 +488,8 @@ func (x *exec) bindParams(pt *part) (sqlmini.Params, int, error) {
 	}
 	total := 0
 	for name, b := range params {
-		if name == aig.PrevParam {
-			continue
-		}
-		for _, r := range b.Rows {
-			total += r.ByteSize()
+		if name != aig.PrevParam {
+			total += b.ByteSize()
 		}
 	}
 	return params, total, nil

@@ -122,8 +122,8 @@ func renderNode(b *strings.Builder, pos int, n *node, analyze bool) {
 		fmt.Fprintf(b, "        %s%s\n", prefix, pt.rw.query)
 		if analyze && pt.out != nil {
 			fmt.Fprintf(b, "          -> %d rows, %s (est %.0f rows, ~%s; rows err %s)\n",
-				pt.out.Len(), byteCount(float64(pt.out.ByteSize())),
-				pt.estRows, byteCount(pt.estBytes), pctError(float64(pt.out.Len()), pt.estRows))
+				len(pt.out.Rows), byteCount(float64(pt.out.ByteSize())),
+				pt.estRows, byteCount(pt.estBytes), pctError(float64(len(pt.out.Rows)), pt.estRows))
 		}
 	}
 	for _, e := range n.in {

@@ -8,6 +8,7 @@ import (
 	"github.com/aigrepro/aig/internal/dtd"
 	"github.com/aigrepro/aig/internal/relstore"
 	"github.com/aigrepro/aig/internal/source"
+	"github.com/aigrepro/aig/internal/sqlmini"
 )
 
 // ctxNode is one occurrence of an element type in the DTD's template tree
@@ -129,8 +130,8 @@ type part struct {
 	estRows  float64
 	estBytes float64
 	estCost  float64
-	// runtime result
-	out *relstore.Table
+	// out is the runtime result; nil until the part has run.
+	out *sqlmini.Binding
 }
 
 // graph is the compiled dependency graph plus the store and context tree.

@@ -269,14 +269,14 @@ func (g *graph) buildCond(c *ctxNode, r *aig.Rule) (*node, error) {
 		if out == nil {
 			return 0, fmt.Errorf("mediator: condition result of %s missing", c.path)
 		}
-		if out.Schema().ColumnIndex(ParentCol) != 0 || len(out.Schema()) < 2 {
+		if out.Schema.ColumnIndex(ParentCol) != 0 || len(out.Schema) < 2 {
 			return 0, fmt.Errorf("mediator: condition result of %s lacks a leading %s column", c.path, ParentCol)
 		}
 		byID := make(map[int]*instance)
 		for _, inst := range g.st.all(c.path) {
 			byID[inst.id] = inst
 		}
-		for _, row := range out.Rows() {
+		for _, row := range out.Rows {
 			id := int(row[0].AsInt())
 			v := row[1]
 			if v.Kind() != relstore.KindInt {
@@ -299,7 +299,7 @@ func (g *graph) buildCond(c *ctxNode, r *aig.Rule) (*node, error) {
 				return 0, fmt.Errorf("mediator: condition of %s returned no row for an instance", c.path)
 			}
 		}
-		return out.Len(), nil
+		return len(out.Rows), nil
 	}
 	return split, nil
 }
@@ -375,13 +375,13 @@ func (g *graph) setQueryMat(mat *node, c, ch *ctxNode, ir *aig.InhRule, branch i
 		if out == nil {
 			return 0, fmt.Errorf("mediator: query result for %s missing", ch.path)
 		}
-		parentIdx := out.Schema().ColumnIndex(ParentCol)
+		parentIdx := out.Schema.ColumnIndex(ParentCol)
 		if parentIdx != 0 {
 			return 0, fmt.Errorf("mediator: result for %s lacks leading %s column", ch.path, ParentCol)
 		}
-		dataSchema := out.Schema()[1:]
+		dataSchema := out.Schema[1:]
 		byParent := make(map[int][]relstore.Tuple)
-		for _, row := range out.Rows() {
+		for _, row := range out.Rows {
 			id := int(row[0].AsInt())
 			byParent[id] = append(byParent[id], row[1:])
 		}

@@ -6,7 +6,6 @@ import (
 	"fmt"
 
 	"github.com/aigrepro/aig/internal/aig"
-	"github.com/aigrepro/aig/internal/relstore"
 	"github.com/aigrepro/aig/internal/specialize"
 	"github.com/aigrepro/aig/internal/sqlmini"
 )
@@ -153,29 +152,27 @@ func (m *Mediator) probeInstance(g *graph, ir *aig.InhRule, c *ctxNode, inst *in
 			}
 			params[name] = b
 		}
-		var out *relstore.Table
 		if srcs := q.Sources(); len(srcs) == 1 {
-			src, gerr := g.reg.Get(srcs[0])
-			if gerr != nil {
-				return false, gerr
+			src, err := g.reg.Get(srcs[0])
+			if err != nil {
+				return false, err
 			}
-			var xerr error
-			out, _, xerr = src.Exec(g.ctx, "probe", q, params, g.opts.PlanOpts)
-			if xerr != nil {
-				return false, xerr
+			out, _, err := src.Exec(g.ctx, "probe", q, params, g.opts.PlanOpts)
+			if err != nil {
+				return false, err
 			}
+			prev = sqlmini.TableBinding(out)
 		} else {
 			// Parameter-only (or undecomposed multi-source) probe runs at
 			// the mediator; the latter requires local sources.
-			var xerr error
-			out, xerr = sqlmini.Run("probe", q, g.reg, g.reg, g.reg, params, g.opts.PlanOpts)
-			if xerr != nil {
-				return false, xerr
+			out, err := sqlmini.Run(q, g.reg, g.reg, g.reg, params, g.opts.PlanOpts)
+			if err != nil {
+				return false, err
 			}
+			prev = out
 		}
-		prev = sqlmini.TableBinding(out)
 		havePrev = true
-		if out.Len() == 0 {
+		if len(prev.Rows) == 0 {
 			return false, nil
 		}
 	}

@@ -68,6 +68,28 @@ func TestEvaluateTraceSpans(t *testing.T) {
 		t.Error("no node span recorded any output rows")
 	}
 
+	// Merged nodes get one bounded span name; their members go into
+	// attributes.
+	merged := 0
+	for _, s := range nodes {
+		if !strings.HasPrefix(s.Name(), "node:merged") && !strings.Contains(s.Name(), "+") {
+			continue
+		}
+		merged++
+		if s.Name() != "node:merged" {
+			t.Errorf("merged node span named %q, want exactly node:merged", s.Name())
+		}
+		if v, ok := s.Attr("members"); !ok || v.(int) < 2 {
+			t.Errorf("merged node span members = %v, want >= 2", v)
+		}
+		if v, ok := s.Attr("member_names"); !ok || v.(string) == "" {
+			t.Errorf("merged node span member_names = %v", v)
+		}
+	}
+	if res.Report.MergedGroups == 0 || merged != res.Report.MergedGroups {
+		t.Errorf("%d merged node spans, report has %d merged groups", merged, res.Report.MergedGroups)
+	}
+
 	// The report carries the same phase structure as wall timings.
 	for _, phase := range want {
 		if _, ok := res.Report.PhaseSec[phase]; !ok {

@@ -202,7 +202,6 @@ func TestConcurrentReadersSeeConsistentSnapshots(t *testing.T) {
 					_ = row.Key() // must never observe torn tuples
 				}
 				_ = tab.DistinctCount(1)
-				_ = tab.ByteSize()
 			}
 		}()
 	}

@@ -2,11 +2,10 @@ package relstore
 
 import "github.com/aigrepro/aig/internal/obs"
 
-// metricInserts counts every row appended to an in-memory table — the
-// storage-level view of the mediator's cache-table writes (and of dataset
-// generation, which builds tables the same way).
+// metricInserts counts rows inserted into stored tables. Query results
+// and attribute collections are plain values and never reach it.
 var metricInserts = obs.Default.NewCounter("aig_relstore_inserts_total",
-	"rows inserted into in-memory tables")
+	"rows inserted into stored tables")
 
 // metricDeletes counts rows removed from in-memory tables — the write
 // path incremental view maintenance turns into delete deltas.

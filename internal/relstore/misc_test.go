@@ -38,12 +38,6 @@ func TestTableMisc(t *testing.T) {
 	if len(tbl.Rows()) != 2 {
 		t.Errorf("Rows() = %d", len(tbl.Rows()))
 	}
-	if got := tbl.LookupKey([]int{0}, String("b").Key()); len(got) != 1 || got[0] != 1 {
-		t.Errorf("LookupKey = %v", got)
-	}
-	if tbl.ByteSize() != tbl.Row(0).ByteSize()+tbl.Row(1).ByteSize() {
-		t.Error("Table.ByteSize inconsistent with row sizes")
-	}
 	if s := tbl.String(); !strings.Contains(s, "t(k:string, n:int) [2 rows]") {
 		t.Errorf("Table.String = %q", s)
 	}

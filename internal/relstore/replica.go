@@ -123,9 +123,7 @@ func (db *Database) CaptureSnapshot(attempts int) (snaps []TableSnap, dbVersion 
 // origin gave for the catch-up (or TruncateRestart for an initial sync).
 // The table takes ownership of rows.
 func NewTableWithState(name string, schema Schema, rows []Tuple, version uint64, cause TruncateCause) *Table {
-	t := NewTable(name, schema)
-	t.buf = rows
-	t.publishLocked()
+	t := tableOf(name, schema, rows)
 	t.version.Store(version)
 	if cause == TruncateNone {
 		cause = TruncateRestart
@@ -232,7 +230,6 @@ func (t *Table) ApplyChanges(cs ChangeSet) (int, error) {
 		lastVer = cs.Now // empty or version-only windows still advance
 	}
 	t.publishLocked()
-	t.indexes = nil
 	t.version.Store(lastVer)
 	t.mu.Unlock()
 	t.mutated()

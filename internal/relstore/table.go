@@ -8,13 +8,12 @@ import (
 	"sync/atomic"
 )
 
-// Table is an in-memory relation: a schema plus an ordered multiset of
-// tuples. Row storage is copy-on-write: readers load an immutable
-// snapshot through an atomic pointer, so reads are safe against a
-// concurrent writer without locking. Writers are serialized by the table
-// mutex. A position returned by Lookup is only meaningful against the
-// snapshot it was built from, so callers that mix Lookup with Row must
-// not race with writers (the mediator's intermediate tables never do).
+// Table is a stored relation of a source database: a schema plus an
+// ordered multiset of tuples. Row storage is copy-on-write: readers load
+// an immutable snapshot through an atomic pointer, so reads are safe
+// against a concurrent writer without locking. Writers are serialized by
+// the table mutex. Query results and attribute collections are not
+// tables; they are plain {schema, rows} values (sqlmini.Binding).
 //
 // Every mutation advances a monotonic per-table version and, when the
 // mutation is expressible as row inserts/deletes, appends the delta to a
@@ -34,9 +33,8 @@ type Table struct {
 	// buf is the writer-side buffer. The prefix published in snap is
 	// never rewritten in place; appends either fill spare capacity the
 	// snapshot cannot see or reallocate.
-	buf     []Tuple
-	indexes map[string]*hashIndex
-	log     changeLog
+	buf []Tuple
+	log changeLog
 	// onBegin fires before a mutation publishes any data, onMutate after
 	// the mutation is fully visible. Databases hook registered tables
 	// here so the database's seqlock-style data version goes odd for the
@@ -52,14 +50,32 @@ type Table struct {
 	p atomic.Pointer[Persister]
 }
 
-type hashIndex struct {
-	cols    []int
-	buckets map[string][]int // tuple key -> row positions
-}
-
 // NewTable creates an empty table with the given name and schema.
 func NewTable(name string, schema Schema) *Table {
 	return &Table{name: name, schema: schema}
+}
+
+// TableOf wraps rows as a table at version zero with an empty change log:
+// the form in which a source hands out a query result. Every row is
+// checked against the schema, because results can arrive from the wire.
+// The table takes ownership of rows, which must not be modified
+// afterwards. Wrapping records no mutation: no version bump, change-log
+// entry, hook or insert metric.
+func TableOf(name string, schema Schema, rows []Tuple) (*Table, error) {
+	for _, row := range rows {
+		if err := schema.Validate(row); err != nil {
+			return nil, fmt.Errorf("table %q: %v", name, err)
+		}
+	}
+	return tableOf(name, schema, rows), nil
+}
+
+// tableOf is TableOf for rows already known to fit the schema.
+func tableOf(name string, schema Schema, rows []Tuple) *Table {
+	t := NewTable(name, schema)
+	t.buf = rows[:len(rows):len(rows)]
+	t.publishLocked()
+	return t
 }
 
 // Name returns the table's name.
@@ -198,7 +214,6 @@ func (t *Table) Insert(row Tuple) error {
 	t.beginMutateLocked()
 	t.buf = append(t.buf, row)
 	t.publishLocked()
-	t.indexes = nil // invalidate
 	ver := t.version.Add(1)
 	t.log.appendLocked(Change{Ver: ver, Op: ChangeInsert, Row: row})
 	t.mu.Unlock()
@@ -281,7 +296,6 @@ func (t *Table) DeleteAt(i int) (Tuple, error) {
 	next = append(next, t.buf[i+1:]...)
 	t.buf = next
 	t.publishLocked()
-	t.indexes = nil
 	ver := t.version.Add(1)
 	t.log.appendLocked(Change{Ver: ver, Op: ChangeDelete, Row: row})
 	t.mu.Unlock()
@@ -331,7 +345,6 @@ func (t *Table) DeleteWhere(match func(Tuple) bool) int {
 	t.beginMutateLocked()
 	t.buf = next
 	t.publishLocked()
-	t.indexes = nil
 	ver := t.version.Add(1)
 	for _, row := range removed {
 		t.log.appendLocked(Change{Ver: ver, Op: ChangeDelete, Row: row})
@@ -361,7 +374,6 @@ func (t *Table) deleteIndices(idx []int) int {
 	t.beginMutateLocked()
 	t.buf = next
 	t.publishLocked()
-	t.indexes = nil
 	ver := t.version.Add(1)
 	for _, row := range removed {
 		t.log.appendLocked(Change{Ver: ver, Op: ChangeDelete, Row: row})
@@ -370,47 +382,6 @@ func (t *Table) deleteIndices(idx []int) int {
 	metricDeletes.Add(int64(len(removed)))
 	t.mutated()
 	return len(removed)
-}
-
-// Lookup returns the positions of all rows whose projection onto cols
-// equals key. It builds (and caches) a hash index on cols on first use.
-func (t *Table) Lookup(cols []int, key Tuple) []int {
-	idx := t.index(cols)
-	return idx.buckets[key.Key()]
-}
-
-// LookupKey is Lookup with a precomputed Tuple.Key, avoiding the
-// projection allocation in join inner loops.
-func (t *Table) LookupKey(cols []int, key string) []int {
-	idx := t.index(cols)
-	return idx.buckets[key]
-}
-
-func (t *Table) index(cols []int) *hashIndex {
-	sig := indexSignature(cols)
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.indexes == nil {
-		t.indexes = make(map[string]*hashIndex)
-	}
-	if idx, ok := t.indexes[sig]; ok {
-		return idx
-	}
-	idx := &hashIndex{cols: cols, buckets: make(map[string][]int)}
-	for i, row := range t.rowsSnap() {
-		k := row.KeyOn(cols)
-		idx.buckets[k] = append(idx.buckets[k], i)
-	}
-	t.indexes[sig] = idx
-	return idx
-}
-
-func indexSignature(cols []int) string {
-	parts := make([]string, len(cols))
-	for i, c := range cols {
-		parts[i] = fmt.Sprint(c)
-	}
-	return strings.Join(parts, ",")
 }
 
 // DistinctCount returns the number of distinct values in the given column,
@@ -424,26 +395,11 @@ func (t *Table) DistinctCount(col int) int {
 	return len(seen)
 }
 
-// ByteSize returns the approximate total wire size of the table's rows.
-func (t *Table) ByteSize() int {
-	n := 0
-	for _, row := range t.rowsSnap() {
-		n += row.ByteSize()
-	}
-	return n
-}
-
-// Clone returns a deep copy of the table (indexes, version and change
-// log are not copied: the clone is a fresh incarnation at version zero).
+// Clone returns a copy of the table as a fresh incarnation at version
+// zero: its version and change log are not copied. The clone shares the
+// immutable tuples; mutating either table never affects the other.
 func (t *Table) Clone() *Table {
-	rows := t.rowsSnap()
-	out := NewTable(t.name, t.schema)
-	out.buf = make([]Tuple, len(rows))
-	for i, row := range rows {
-		out.buf[i] = row.Clone()
-	}
-	out.publishLocked()
-	return out
+	return tableOf(t.name, t.schema, append([]Tuple(nil), t.rowsSnap()...))
 }
 
 // Sort orders the table's rows lexicographically by the given columns
@@ -479,7 +435,6 @@ func (t *Table) Sort(cols []int) {
 	})
 	t.buf = next
 	t.publishLocked()
-	t.indexes = nil
 	ver := t.version.Add(1)
 	t.log.resetLocked(ver, TruncateReset)
 	t.mu.Unlock()
@@ -514,7 +469,6 @@ func (t *Table) Distinct() {
 	}
 	t.buf = out
 	t.publishLocked()
-	t.indexes = nil
 	ver := t.version.Add(1)
 	for _, row := range dropped {
 		t.log.appendLocked(Change{Ver: ver, Op: ChangeDelete, Row: row})

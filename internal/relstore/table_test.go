@@ -79,17 +79,26 @@ func TestTableInsertAndLookup(t *testing.T) {
 	if tbl.Len() != 3 {
 		t.Fatalf("Len = %d, want 3", tbl.Len())
 	}
-	rows := tbl.Lookup([]int{2}, Tuple{String("gold")})
-	if len(rows) != 2 {
-		t.Fatalf("Lookup(policy=gold) = %d rows, want 2", len(rows))
+	gold := func() []Tuple {
+		var out []Tuple
+		for _, row := range tbl.Rows() {
+			if row[2].Equal(String("gold")) {
+				out = append(out, row)
+			}
+		}
+		return out
 	}
-	if got := tbl.Row(rows[0])[1].AsString(); got != "alice" {
+	rows := gold()
+	if len(rows) != 2 {
+		t.Fatalf("policy=gold: %d rows, want 2", len(rows))
+	}
+	if got := rows[0][1].AsString(); got != "alice" {
 		t.Errorf("first gold patient = %q, want alice", got)
 	}
-	// Index invalidation after insert.
+	// An insert is visible to the next read.
 	tbl.MustInsert(Tuple{Int(4), String("dan"), String("gold")})
-	if got := len(tbl.Lookup([]int{2}, Tuple{String("gold")})); got != 3 {
-		t.Errorf("after insert Lookup = %d rows, want 3", got)
+	if got := len(gold()); got != 3 {
+		t.Errorf("after insert policy=gold: %d rows, want 3", got)
 	}
 }
 
@@ -314,5 +323,40 @@ func TestTupleProjectConcat(t *testing.T) {
 	}
 	if tup.KeyOn([]int{2, 0}) != p.Key() {
 		t.Error("KeyOn disagrees with Project().Key()")
+	}
+}
+
+// TestTableOfWrapsWithoutMutating checks the constructor sources use for
+// query results: rows are validated, and the table starts at version
+// zero with an empty change log and no insert counted.
+func TestTableOfWrapsWithoutMutating(t *testing.T) {
+	schema := MustSchema("k:string", "n:int")
+	if _, err := TableOf("bad", schema, []Tuple{{String("a"), String("x")}}); err == nil {
+		t.Error("kind-mismatched row accepted")
+	}
+	if _, err := TableOf("bad", schema, []Tuple{{String("a")}}); err == nil {
+		t.Error("arity-mismatched row accepted")
+	}
+
+	before := metricInserts.Value()
+	rows := make([]Tuple, 2, 4)
+	rows[0], rows[1] = Tuple{String("a"), Int(1)}, Tuple{String("b"), Null}
+	tbl, err := TableOf("t", schema, rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tbl.Len() != 2 || tbl.Version() != 0 || tbl.Name() != "t" {
+		t.Errorf("TableOf = %d rows at version %d named %q", tbl.Len(), tbl.Version(), tbl.Name())
+	}
+	if cs := tbl.ChangesSince(0); cs.Truncated || len(cs.Changes) != 0 {
+		t.Errorf("fresh table's change log = %+v, want empty", cs)
+	}
+	if got := metricInserts.Value() - before; got != 0 {
+		t.Errorf("TableOf counted %d inserts", got)
+	}
+	// A later insert goes to the table, not into the caller's spare capacity.
+	tbl.MustInsert(Tuple{String("c"), Int(3)})
+	if rows[:3][2] != nil {
+		t.Error("insert wrote into the caller's row slice")
 	}
 }

@@ -1,6 +1,6 @@
 // Package relstore implements the in-memory relational storage engine that
 // underlies every data source in the AIG middleware. It provides typed
-// values, schemas, tables with hash indexes, databases, catalogs, basic
+// values, schemas, versioned tables, databases, catalogs, basic
 // statistics used by the cost model, and CSV import/export.
 //
 // The engine is deliberately small but complete: the sqlmini package plans
@@ -188,7 +188,7 @@ func (v Value) Compare(w Value) int {
 }
 
 // Key returns a compact string encoding of the value suitable for use as a
-// Go map key in hash indexes and duplicate detection. Distinct values have
+// Go map key in hash joins and duplicate detection. Distinct values have
 // distinct keys.
 func (v Value) Key() string {
 	switch v.kind {

@@ -65,10 +65,7 @@ func TestVersionStableOnReads(t *testing.T) {
 	tab.Rows()
 	tab.Row(0)
 	tab.Schema()
-	tab.Lookup([]int{0}, Tuple{String("s1")})
-	tab.LookupKey([]int{1}, Tuple{String("alice")}.Key())
 	tab.DistinctCount(0)
-	tab.ByteSize()
 	tab.Equal(tab.Clone())
 	_ = tab.String()
 

@@ -128,21 +128,11 @@ func tableToWire(schema relstore.Schema, rows []relstore.Tuple) wireTable {
 }
 
 func tableFromWire(name string, w wireTable) (*relstore.Table, error) {
-	schema, err := relstore.ParseSchema(w.Schema)
+	b, err := bindingFromWire(w)
 	if err != nil {
 		return nil, err
 	}
-	t := relstore.NewTable(name, schema)
-	for _, wr := range w.Rows {
-		row := make(relstore.Tuple, len(wr))
-		for j, wv := range wr {
-			row[j] = fromWire(wv)
-		}
-		if err := t.Insert(row); err != nil {
-			return nil, err
-		}
-	}
-	return t, nil
+	return relstore.TableOf(name, b.Schema, b.Rows)
 }
 
 func bindingFromWire(w wireTable) (sqlmini.Binding, error) {

@@ -199,12 +199,17 @@ func (l *Local) Exec(ctx context.Context, name string, q *sqlmini.Query, params 
 		data = tracedData{inner: data, tracer: tr, parent: parent}
 	}
 	start := time.Now()
-	out, err := sqlmini.Run(name, q, sqlmini.CatalogSchemas{Catalog: l.cat}, data, sqlmini.CatalogStats{Catalog: l.cat}, params, opts)
-	if err == nil {
-		metricExecs.Inc()
-		metricExecRows.Add(int64(out.Len()))
+	out, err := sqlmini.Run(q, sqlmini.CatalogSchemas{Catalog: l.cat}, data, sqlmini.CatalogStats{Catalog: l.cat}, params, opts)
+	if err != nil {
+		return nil, time.Since(start), err
 	}
-	return out, time.Since(start), err
+	t, err := relstore.TableOf(name, out.Schema, out.Rows)
+	if err != nil {
+		return nil, time.Since(start), err
+	}
+	metricExecs.Inc()
+	metricExecRows.Add(int64(len(out.Rows)))
+	return t, time.Since(start), nil
 }
 
 // Registry is the mediator's view of all sources.

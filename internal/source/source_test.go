@@ -103,12 +103,12 @@ func TestRegistry(t *testing.T) {
 	// A multi-source query resolves and runs against the registry as a
 	// combined view — this is what the conceptual evaluator uses.
 	q := sqlmini.MustParse(`select t.tname from DB4:treatment t, DB3:billing b where t.trId = b.trId and b.price > 200`)
-	out, err := sqlmini.Run("out", q, reg, reg, reg, nil, sqlmini.PlanOptions{})
+	out, err := sqlmini.Run(q, reg, reg, reg, nil, sqlmini.PlanOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Len() != 2 { // t2 (250) and t4 (999)
-		t.Errorf("cross-source join returned %d rows, want 2", out.Len())
+	if len(out.Rows) != 2 { // t2 (250) and t4 (999)
+		t.Errorf("cross-source join returned %d rows, want 2", len(out.Rows))
 	}
 }
 

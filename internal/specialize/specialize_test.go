@@ -174,20 +174,20 @@ func TestDecomposeQ2(t *testing.T) {
 		bind := sqlmini.Params{"v": sqlmini.ScalarBinding(
 			[]string{"date", "SSN", "policy"},
 			relstore.Tuple{relstore.String(v[0]), relstore.String(v[1]), relstore.String(v[2])})}
-		want, err := sqlmini.Run("direct", q, schemas, sqlmini.CatalogData{Catalog: cat}, stats, bind, sqlmini.PlanOptions{})
+		want, err := sqlmini.Run(q, schemas, sqlmini.CatalogData{Catalog: cat}, stats, bind, sqlmini.PlanOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		var prev *relstore.Table
+		var prev sqlmini.Binding
 		for i, step := range chain {
 			p := sqlmini.Params{}
 			for k, b := range bind {
 				p[k] = b
 			}
-			if prev != nil {
-				p[aig.PrevParam] = sqlmini.TableBinding(prev)
+			if i > 0 {
+				p[aig.PrevParam] = prev
 			}
-			prev, err = sqlmini.Run("step", step, schemas, sqlmini.CatalogData{Catalog: cat}, stats, p, sqlmini.PlanOptions{})
+			prev, err = sqlmini.Run(step, schemas, sqlmini.CatalogData{Catalog: cat}, stats, p, sqlmini.PlanOptions{})
 			if err != nil {
 				t.Fatalf("step %d (%s): %v", i+1, step, err)
 			}

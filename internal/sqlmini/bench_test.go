@@ -29,12 +29,12 @@ func BenchmarkHashJoin(b *testing.B) {
 		b.Run(fmt.Sprintf("rows=%d", rows), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				out, err := Run("out", q, CatalogSchemas{cat}, CatalogData{cat}, CatalogStats{cat}, nil, PlanOptions{})
+				out, err := Run(q, CatalogSchemas{cat}, CatalogData{cat}, CatalogStats{cat}, nil, PlanOptions{})
 				if err != nil {
 					b.Fatal(err)
 				}
-				if out.Len() != rows {
-					b.Fatalf("join returned %d rows", out.Len())
+				if len(out.Rows) != rows {
+					b.Fatalf("join returned %d rows", len(out.Rows))
 				}
 			}
 		})
@@ -66,11 +66,11 @@ func BenchmarkParamJoin(b *testing.B) {
 	params := Params{"V": {Schema: relstore.MustSchema("k:string"), Rows: rows}}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		out, err := Run("out", q, CatalogSchemas{cat}, CatalogData{cat}, CatalogStats{cat}, params, PlanOptions{})
+		out, err := Run(q, CatalogSchemas{cat}, CatalogData{cat}, CatalogStats{cat}, params, PlanOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		if out.Len() == 0 {
+		if len(out.Rows) == 0 {
 			b.Fatal("no rows")
 		}
 	}

@@ -20,15 +20,15 @@ func (c CatalogData) TableData(source, table string) (*relstore.Table, error) {
 }
 
 // Exec executes the plan against the data provider with the given
-// parameter bindings and returns the result as a table named name.
-// Bag semantics: duplicates are preserved.
-func Exec(name string, plan *Plan, data DataProvider, params Params) (*relstore.Table, error) {
+// parameter bindings and returns the result relation. Bag semantics:
+// duplicates are preserved unless the query says DISTINCT.
+func Exec(plan *Plan, data DataProvider, params Params) (Binding, error) {
 	r := plan.Resolved
 	n := len(r.TableSchemas)
 
 	env, err := newParamEnv(r, params)
 	if err != nil {
-		return nil, err
+		return Binding{}, err
 	}
 
 	metricQueries.Inc()
@@ -38,7 +38,7 @@ func Exec(name string, plan *Plan, data DataProvider, params Params) (*relstore.
 	for i := 0; i < n; i++ {
 		rows, err := baseTableRows(r, i, data, params)
 		if err != nil {
-			return nil, err
+			return Binding{}, err
 		}
 		metricRowsScanned.Add(int64(len(rows)))
 		baseRows[i] = filterLocal(r, i, rows, env)
@@ -171,29 +171,19 @@ func Exec(name string, plan *Plan, data DataProvider, params Params) (*relstore.
 		current = filtered
 	}
 
-	out := relstore.NewTable(name, r.Output.Project(identity(len(r.Output))))
-	for _, row := range current {
+	out := Binding{Schema: r.Output, Rows: make([]relstore.Tuple, len(current))}
+	for j, row := range current {
 		proj := make(relstore.Tuple, len(r.SelectCols))
 		for i, c := range r.SelectCols {
 			proj[i] = row[abs(c)]
 		}
-		if err := out.Insert(proj); err != nil {
-			return nil, err
-		}
+		out.Rows[j] = proj
 	}
 	if r.Query.Distinct {
-		out.Distinct()
+		out = out.Distinct()
 	}
-	metricRowsReturned.Add(int64(out.Len()))
+	metricRowsReturned.Add(int64(len(out.Rows)))
 	return out, nil
-}
-
-func identity(n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = i
-	}
-	return out
 }
 
 // paramEnv caches evaluated parameter operands: scalar field values and IN
@@ -331,10 +321,10 @@ func evalPredOnLayout(p ResolvedPred, row relstore.Tuple, at func(int) int, env 
 // Run resolves, plans and executes q in one call — the convenience path
 // used by the conceptual evaluator, which runs each query per node rather
 // than set-at-a-time.
-func Run(name string, q *Query, schemas SchemaProvider, data DataProvider, stats Stats, params Params, opts PlanOptions) (*relstore.Table, error) {
+func Run(q *Query, schemas SchemaProvider, data DataProvider, stats Stats, params Params, opts PlanOptions) (Binding, error) {
 	plan, err := PlanAndEstimate(q, schemas, ParamSchemasOf(params), stats, opts)
 	if err != nil {
-		return nil, err
+		return Binding{}, err
 	}
-	return Exec(name, plan, data, params)
+	return Exec(plan, data, params)
 }

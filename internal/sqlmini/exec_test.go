@@ -53,19 +53,19 @@ func hospitalCatalog() *relstore.Catalog {
 	return cat
 }
 
-func runQuery(t *testing.T, cat *relstore.Catalog, sql string, params Params) *relstore.Table {
+func runQuery(t *testing.T, cat *relstore.Catalog, sql string, params Params) Binding {
 	t.Helper()
 	q := MustParse(sql)
-	out, err := Run("out", q, CatalogSchemas{cat}, CatalogData{cat}, CatalogStats{cat}, params, PlanOptions{})
+	out, err := Run(q, CatalogSchemas{cat}, CatalogData{cat}, CatalogStats{cat}, params, PlanOptions{})
 	if err != nil {
 		t.Fatalf("Run(%s): %v", sql, err)
 	}
 	return out
 }
 
-func rowsAsStrings(tbl *relstore.Table) []string {
-	out := make([]string, 0, tbl.Len())
-	for _, row := range tbl.Rows() {
+func rowsAsStrings(b Binding) []string {
+	out := make([]string, 0, len(b.Rows))
+	for _, row := range b.Rows {
 		parts := make([]string, len(row))
 		for i, v := range row {
 			parts[i] = v.Text()
@@ -147,16 +147,16 @@ func TestExecNonEquiJoin(t *testing.T) {
 	cat := hospitalCatalog()
 	// Pairs of billing rows where the first is strictly cheaper.
 	out := runQuery(t, cat, `select a.trId, b.trId as other from DB3:billing a, DB3:billing b where a.price < b.price`, nil)
-	if out.Len() != 6 {
-		t.Errorf("non-equi join returned %d rows, want 6", out.Len())
+	if len(out.Rows) != 6 {
+		t.Errorf("non-equi join returned %d rows, want 6", len(out.Rows))
 	}
 }
 
 func TestExecCartesianWhenDisconnected(t *testing.T) {
 	cat := hospitalCatalog()
 	out := runQuery(t, cat, `select p.pname, t.tname from DB1:patient p, DB4:treatment t`, nil)
-	if out.Len() != 12 {
-		t.Errorf("cartesian product returned %d rows, want 12", out.Len())
+	if len(out.Rows) != 12 {
+		t.Errorf("cartesian product returned %d rows, want 12", len(out.Rows))
 	}
 }
 
@@ -165,8 +165,8 @@ func TestExecPreservesDuplicates(t *testing.T) {
 	// visitInfo has two d1 visits for s1; projecting SSN alone must keep
 	// both (bag semantics).
 	out := runQuery(t, cat, `select SSN from DB1:visitInfo where date = 'd1'`, nil)
-	if out.Len() != 3 {
-		t.Errorf("projection returned %d rows, want 3 (bag semantics)", out.Len())
+	if len(out.Rows) != 3 {
+		t.Errorf("projection returned %d rows, want 3 (bag semantics)", len(out.Rows))
 	}
 }
 
@@ -174,8 +174,8 @@ func TestExecEmptyParamBinding(t *testing.T) {
 	cat := hospitalCatalog()
 	set := Binding{Schema: relstore.MustSchema("trId:string")}
 	out := runQuery(t, cat, `select trId from DB3:billing where trId in $V`, Params{"V": set})
-	if out.Len() != 0 {
-		t.Errorf("empty IN param returned %d rows", out.Len())
+	if len(out.Rows) != 0 {
+		t.Errorf("empty IN param returned %d rows", len(out.Rows))
 	}
 }
 
@@ -183,7 +183,7 @@ func TestExecMissingParam(t *testing.T) {
 	cat := hospitalCatalog()
 	q := MustParse(`select trId from DB3:billing where trId in $V`)
 	// Resolution itself needs the schema.
-	if _, err := Run("out", q, CatalogSchemas{cat}, CatalogData{cat}, CatalogStats{cat}, nil, PlanOptions{}); err == nil {
+	if _, err := Run(q, CatalogSchemas{cat}, CatalogData{cat}, CatalogStats{cat}, nil, PlanOptions{}); err == nil {
 		t.Error("missing parameter binding accepted")
 	}
 }
@@ -257,7 +257,7 @@ func TestBuildPlanPrefersSelectiveStart(t *testing.T) {
 	}
 	// The second and later tables should each be join-connected to the
 	// prefix (no cartesian steps for this connected query).
-	out, err := Exec("out", plan, CatalogData{cat}, nil)
+	out, err := Exec(plan, CatalogData{cat}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -293,10 +293,13 @@ func (q *Query) Params() []string {
 	return out
 }
 
-// Binding is the value of one parameter at execution time: a small
-// relation. Scalar tuple parameters (e.g. Inh(report)) have exactly one
+// Binding is a relation value: a schema plus an ordered multiset of
+// rows. It is the type of every query result, parameter and attribute
+// collection. Scalar tuple parameters (e.g. Inh(report)) have exactly one
 // row; set parameters (e.g. the trIdS synthesized attribute) have any
-// number of rows.
+// number of rows. Rows are immutable once built and may be shared between
+// bindings: code builds new tuples and never writes into one it did not
+// allocate.
 type Binding struct {
 	Schema relstore.Schema
 	Rows   []relstore.Tuple
@@ -319,7 +322,7 @@ func ScalarBinding(fields []string, row relstore.Tuple) Binding {
 	return Binding{Schema: schema, Rows: []relstore.Tuple{row}}
 }
 
-// TableBinding wraps a table as a binding.
+// TableBinding takes a table's current rows as a binding.
 func TableBinding(t *relstore.Table) Binding {
 	return Binding{Schema: t.Schema(), Rows: t.Rows()}
 }
@@ -337,13 +340,67 @@ func (b Binding) Field(name string) (relstore.Value, error) {
 	return b.Rows[0][i], nil
 }
 
-// Table materializes the binding as a relstore table with the given name.
-func (b Binding) Table(name string) *relstore.Table {
-	t := relstore.NewTable(name, b.Schema)
-	for _, r := range b.Rows {
-		t.MustInsert(r.Clone())
+// Distinct returns the binding with duplicate rows removed, keeping first
+// occurrences in order. When there are no duplicates it returns b itself.
+func (b Binding) Distinct() Binding {
+	if len(b.Rows) < 2 {
+		return b
 	}
-	return t
+	seen := make(map[string]struct{}, len(b.Rows))
+	var out []relstore.Tuple // allocated at the first duplicate
+	for i, row := range b.Rows {
+		k := row.Key()
+		if _, dup := seen[k]; dup {
+			if out == nil {
+				out = append(make([]relstore.Tuple, 0, len(b.Rows)-1), b.Rows[:i]...)
+			}
+			continue
+		}
+		seen[k] = struct{}{}
+		if out != nil {
+			out = append(out, row)
+		}
+	}
+	if out == nil {
+		return b
+	}
+	return Binding{Schema: b.Schema, Rows: out}
+}
+
+// Equal reports whether two bindings have equal schemas and equal rows as
+// multisets (order-insensitive).
+func (b Binding) Equal(o Binding) bool {
+	if !b.Schema.Equal(o.Schema) || len(b.Rows) != len(o.Rows) {
+		return false
+	}
+	counts := make(map[string]int, len(b.Rows))
+	for _, row := range b.Rows {
+		counts[row.Key()]++
+	}
+	for _, row := range o.Rows {
+		k := row.Key()
+		counts[k]--
+		if counts[k] < 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// Clone returns a binding with its own row slice that shares the
+// (immutable) tuples and schema with b.
+func (b Binding) Clone() Binding {
+	return Binding{Schema: b.Schema, Rows: append([]relstore.Tuple(nil), b.Rows...)}
+}
+
+// ByteSize returns the approximate wire size of the rows, used by the
+// communication cost model.
+func (b Binding) ByteSize() int {
+	n := 0
+	for _, row := range b.Rows {
+		n += row.ByteSize()
+	}
+	return n
 }
 
 // Params maps parameter names to bindings for one execution.
